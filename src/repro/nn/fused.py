@@ -24,6 +24,53 @@ from .sparse import rowsparse_from_gather
 from .tensor import Tensor, _scatter_add, _stable_sigmoid
 
 
+def _gru_gates(gates_x: np.ndarray, gates_h: np.ndarray, h: np.ndarray
+               ) -> Tuple[np.ndarray, ...]:
+    """GRU cell math from the input/recurrent projections (biases added).
+
+    Returns ``(h', r, z, n)``; the intermediates feed the backward passes.
+    """
+    hidden = h.shape[1]
+    r = _stable_sigmoid(gates_x[:, :hidden] + gates_h[:, :hidden])
+    z = _stable_sigmoid(gates_x[:, hidden:2 * hidden]
+                        + gates_h[:, hidden:2 * hidden])
+    n = np.tanh(gates_x[:, 2 * hidden:] + r * gates_h[:, 2 * hidden:])
+    return (1.0 - z) * n + z * h, r, z, n
+
+
+def _lstm_gates(gates: np.ndarray, c: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """LSTM cell math from the summed gate pre-activations.
+
+    Returns ``(h', c', i, f, g, o, tanh(c'))``; the intermediates feed the
+    backward passes.
+    """
+    hidden = c.shape[1]
+    i = _stable_sigmoid(gates[:, :hidden])
+    f = _stable_sigmoid(gates[:, hidden:2 * hidden])
+    g = np.tanh(gates[:, 2 * hidden:3 * hidden])
+    o = _stable_sigmoid(gates[:, 3 * hidden:])
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    return o * tanh_c, c_new, i, f, g, o, tanh_c
+
+
+def gru_step(x: np.ndarray, h: np.ndarray, w_ih: np.ndarray,
+             w_hh: np.ndarray, b_ih: np.ndarray, b_hh: np.ndarray
+             ) -> np.ndarray:
+    """Inference-only GRU step on plain arrays: :func:`fused_gru_step`'s
+    forward without the graph node, bit for bit."""
+    return _gru_gates(x @ w_ih.T + b_ih, h @ w_hh.T + b_hh, h)[0]
+
+
+def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray,
+              w_ih: np.ndarray, w_hh: np.ndarray, bias: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Inference-only LSTM step returning ``(h', c')``:
+    :func:`fused_lstm_step`'s forward without the graph nodes, bit for bit."""
+    h_new, c_new = _lstm_gates(x @ w_ih.T + h @ w_hh.T + bias, c)[:2]
+    return h_new, c_new
+
+
 def fused_gru_step(x: Tensor, h: Tensor, w_ih: Tensor, w_hh: Tensor,
                    b_ih: Tensor, b_hh: Tensor,
                    keep: Optional[np.ndarray] = None) -> Tensor:
@@ -38,14 +85,10 @@ def fused_gru_step(x: Tensor, h: Tensor, w_ih: Tensor, w_hh: Tensor,
     x_data, h_data = x.data, h.data
     w_ih_data, w_hh_data = w_ih.data, w_hh.data
     hidden = w_hh_data.shape[1]
-    gates_x = x_data @ w_ih_data.T + b_ih.data
     gates_h = h_data @ w_hh_data.T + b_hh.data
-    r = _stable_sigmoid(gates_x[:, :hidden] + gates_h[:, :hidden])
-    z = _stable_sigmoid(gates_x[:, hidden:2 * hidden]
-                        + gates_h[:, hidden:2 * hidden])
     gates_h_n = gates_h[:, 2 * hidden:]
-    n = np.tanh(gates_x[:, 2 * hidden:] + r * gates_h_n)
-    h_new = (1.0 - z) * n + z * h_data
+    h_new, r, z, n = _gru_gates(x_data @ w_ih_data.T + b_ih.data, gates_h,
+                                h_data)
     out_data = h_new if keep is None else h_new * keep + h_data * (1.0 - keep)
 
     def backward(grad: np.ndarray) -> None:
@@ -92,14 +135,8 @@ def fused_lstm_step(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor,
     x_data, h_data, c_data = x.data, h.data, c.data
     w_ih_data, w_hh_data = w_ih.data, w_hh.data
     hidden = w_hh_data.shape[1]
-    gates = x_data @ w_ih_data.T + h_data @ w_hh_data.T + bias.data
-    i = _stable_sigmoid(gates[:, :hidden])
-    f = _stable_sigmoid(gates[:, hidden:2 * hidden])
-    g = np.tanh(gates[:, 2 * hidden:3 * hidden])
-    o = _stable_sigmoid(gates[:, 3 * hidden:])
-    c_new = f * c_data + i * g
-    tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
+    h_new, c_new, i, f, g, o, tanh_c = _lstm_gates(
+        x_data @ w_ih_data.T + h_data @ w_hh_data.T + bias.data, c_data)
     if keep is None:
         h_out_data, c_out_data = h_new, c_new
     else:
@@ -276,13 +313,8 @@ def fused_gru_sequence(inputs: Tensor, h0: Tensor, w_ih: Tensor,
     for t in range(time):
         prev_seq[:, t] = h
         gates_h = h @ w_hh_data.T + b_hh_data
-        gx = gates_x[:, t]
-        r = _stable_sigmoid(gx[:, :hidden] + gates_h[:, :hidden])
-        z = _stable_sigmoid(gx[:, hidden:2 * hidden]
-                            + gates_h[:, hidden:2 * hidden])
         ghn = gates_h[:, 2 * hidden:]
-        n = np.tanh(gx[:, 2 * hidden:] + r * ghn)
-        h_new = (1.0 - z) * n + z * h
+        h_new, r, z, n = _gru_gates(gates_x[:, t], gates_h, h)
         if keep is not None:
             k = keep[:, t:t + 1]
             h_new = h_new * k + h * (1.0 - k)
@@ -370,14 +402,8 @@ def fused_lstm_sequence(inputs: Tensor, h0: Tensor, c0: Tensor,
     h, c = h0_data, c0_data
     for t in range(time):
         h_prev_seq[:, t], c_prev_seq[:, t] = h, c
-        gates = gates_x[:, t] + h @ w_hh_data.T
-        i = _stable_sigmoid(gates[:, :hidden])
-        f = _stable_sigmoid(gates[:, hidden:2 * hidden])
-        g = np.tanh(gates[:, 2 * hidden:3 * hidden])
-        o = _stable_sigmoid(gates[:, 3 * hidden:])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
+        h_new, c_new, i, f, g, o, tanh_c = _lstm_gates(
+            gates_x[:, t] + h @ w_hh_data.T, c)
         if keep is not None:
             k = keep[:, t:t + 1]
             inv_k = 1.0 - k

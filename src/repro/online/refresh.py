@@ -113,7 +113,7 @@ class RefreshController:
         causal = hasattr(snapshot, "item_causal_matrix")
         previous_matrix = None
         if causal:
-            previous_matrix = snapshot.item_causal_matrix().copy()
+            previous_matrix = snapshot.item_causal_matrix()
         began = time.perf_counter()
         if causal:
             snapshot.fit_samples(samples, warm_start=True,

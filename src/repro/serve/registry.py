@@ -4,10 +4,10 @@ artifacts, hot-swap behind a lock.
 A checkpoint (written by :func:`repro.io.save_model`) is turned into a
 frozen :class:`ServingArtifacts` bundle once, at install time:
 
-* the **item-level causal matrix** Ŵ (eq. 9, via the fingerprint-cached
-  :meth:`Causer.item_causal_matrix`) and its **ε-gated** counterpart
-  ``W ⊙ 1(W > ε)`` — the per-request scorer then never re-projects K×K→N×N,
-* **hard cluster assignments** per item,
+* the two **factors of eq. 9**, ``cause_weights = Ā W^c`` ((V+1)×K) and
+  a contiguous ``Āᵀ`` (K×(V+1)): the scorer rebuilds only the session's
+  history rows of the item-level matrix, ``cause_weights[items] @ Āᵀ``,
+  so no (V+1)² array is ever frozen,
 * the **input embedding table** feeding incremental RNN updates
   (:class:`repro.serve.sessions.RecurrentServingParams`),
 * the output item-embedding table + bias the final dot-product reads.
@@ -114,9 +114,8 @@ class ServingArtifacts:
 class CausalServingArtifacts(ServingArtifacts):
     """Causer-specific precompute: frozen eq. 10 ingredients."""
 
-    item_matrix: Optional[np.ndarray] = None      # Ŵ, (V+1, V+1), read-only
-    gated_matrix: Optional[np.ndarray] = None     # Ŵ ⊙ 1(Ŵ > ε)
-    hard_clusters: Optional[np.ndarray] = None    # (V+1,) argmax assignment
+    cause_weights: Optional[np.ndarray] = None    # Ā W^c, (V+1, K)
+    assignments_t: Optional[np.ndarray] = None    # Āᵀ, (K, V+1), contiguous
     attention_proj: Optional[np.ndarray] = None   # A, None in (-att) mode
     adapt_weight: Optional[np.ndarray] = None     # V, (d_e, h)
     output_table: Optional[np.ndarray] = None     # (V+1, d_e)
@@ -222,13 +221,11 @@ def build_artifacts(model, generation: int, path: Optional[str] = None,
                   max_history=model.config.max_history)
     if type(model) is Causer and model.config.filtering_mode == "shared":
         cfg = model.config
-        item_matrix = model.item_causal_matrix()
-        gated = np.where(item_matrix > cfg.epsilon, item_matrix, 0.0)
-        gated.setflags(write=False)
+        assignments = model.clusters.assignments().data
         artifacts: ServingArtifacts = CausalServingArtifacts(
             mode="incremental", recurrent=_causer_recurrent(model),
-            item_matrix=item_matrix, gated_matrix=gated,
-            hard_clusters=model.clusters.hard_assignments(),
+            cause_weights=assignments @ model.graph.numpy_matrix(),
+            assignments_t=np.ascontiguousarray(assignments.T),
             attention_proj=(model.attention.proj.data
                             if cfg.use_attention else None),
             adapt_weight=model.adapt.weight.data,

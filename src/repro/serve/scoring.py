@@ -60,7 +60,9 @@ def _score_causer(artifacts: CausalServingArtifacts, view: ScoreView,
     candidate axis only ever sees elementwise arithmetic and per-row
     pairwise sums (whose bits depend on the reduced length alone), and
     the time contraction is an explicit loop over the ≤ ``max_history``
-    steps.  The only matmul, ``states @ Vᵀ``, is candidate-independent.
+    steps.  Both matmuls are candidate-independent: ``states @ Vᵀ``, and
+    the eq. 9 block ``cause_weights[items] @ Āᵀ``, which always spans the
+    full catalog and is gathered at ``candidates`` only after gating.
 
     Quantized output tables dequantize on the fly (``as_dense`` /
     ``take_rows``): dequantization is row-independent, so the candidate
@@ -79,12 +81,24 @@ def _score_causer(artifacts: CausalServingArtifacts, view: ScoreView,
     states = view.states                          # (T, H)
     alpha = _alpha(states, view.last, artifacts.attention_proj)
     if artifacts.use_causal:
-        effects = np.zeros((view.steps, catalog))
-        for t, basket in enumerate(view.events):
-            rows = artifacts.gated_matrix[list(basket)]
-            if candidates is not None:
-                rows = rows[:, candidates]
-            effects[t] = rows.sum(axis=0)
+        # History rows of eq. 9's item-level W, gated in place to
+        # W ⊙ 1(W > ε) — the same multiply the offline head applies.
+        items = [item for basket in view.events for item in basket]
+        block = artifacts.cause_weights[items] @ artifacts.assignments_t
+        np.multiply(block, block > artifacts.epsilon, out=block)
+        if candidates is not None:
+            block = block[:, candidates]
+        if len(items) == view.steps:
+            effects = block         # one item per step: its row is the sum
+        else:
+            # Per-basket sums, one row at a time: each column then adds in
+            # a fixed order whatever the column count (``sum(axis=0)`` over
+            # one column switches to pairwise summation past 8 rows).
+            steps = [t for t, basket in enumerate(view.events)
+                     for _ in basket]
+            effects = np.zeros((view.steps, catalog))
+            for t, row in zip(steps, block):
+                effects[t] += row
     else:
         effects = np.ones((view.steps, catalog))
     weights = effects * alpha[:, None]            # (T, C)

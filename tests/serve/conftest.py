@@ -1,5 +1,8 @@
 """Serve-suite fixtures: small trained models and app factories."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,28 @@ def served_causer(tiny_dataset, tiny_split):
     model = Causer(tiny_dataset.corpus.num_users, tiny_dataset.num_items,
                    tiny_dataset.features, config)
     model.fit(tiny_split.train)
+    return model
+
+
+@pytest.fixture(scope="package")
+def served_causer_epsilon_tie(served_causer):
+    """``served_causer`` with item effects lying exactly on the ε gate.
+
+    Saturated assignment logits make every assignment row exactly
+    one-hot, so each item-level effect is a ``W^c`` entry bit for bit on
+    the served and the offline path alike; ε is set to one of those
+    entries, which the strict ``W > ε`` gate must drop.
+    """
+    model = copy.deepcopy(served_causer)
+    hard = model.clusters.hard_assignments()
+    logits = np.zeros_like(model.clusters.assignment_logits.data)
+    logits[np.arange(hard.shape[0]), hard] = 1000.0
+    model.clusters.assignment_logits.data[...] = logits
+    cluster_graph = model.graph.numpy_matrix()
+    positive = np.sort(cluster_graph[cluster_graph > 0])
+    epsilon = float(positive[len(positive) // 2])
+    model.config = dataclasses.replace(model.config, epsilon=epsilon)
+    assert (model.item_causal_matrix() == epsilon).any()
     return model
 
 

@@ -15,7 +15,8 @@ from repro.io import load_model, save_model
 from repro.serve import SessionStore, build_artifacts, score_views
 from tests.serve.conftest import random_histories
 
-TRAINED_FIXTURES = ["served_causer", "served_lstm_causer", "served_gru4rec"]
+TRAINED_FIXTURES = ["served_causer", "served_causer_epsilon_tie",
+                    "served_lstm_causer", "served_gru4rec"]
 
 #: Every registered class except Pop (intentionally not serializable).
 SERVABLE_NAMES = [name for name in ALL_MODEL_NAMES if name != "Pop"]

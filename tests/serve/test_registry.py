@@ -1,7 +1,9 @@
 """Checkpoint registry: artifact precompute, dispatch, hot swap."""
 
+import io
+import pickle
+
 import numpy as np
-import pytest
 
 from repro.core import Causer, CauserConfig
 from repro.io import save_model
@@ -15,17 +17,42 @@ class TestBuildArtifacts:
         art = build_artifacts(served_causer, generation=1)
         assert isinstance(art, CausalServingArtifacts)
         assert art.mode == "incremental"
-        matrix = served_causer.item_causal_matrix()
-        np.testing.assert_array_equal(art.item_matrix, matrix)
-        expected_gate = np.where(matrix > served_causer.config.epsilon,
-                                 matrix, 0.0)
-        np.testing.assert_array_equal(art.gated_matrix, expected_gate)
-        np.testing.assert_array_equal(
-            art.hard_clusters, served_causer.clusters.hard_assignments())
         assert art.recurrent.cell_type == "gru"
         assert art.recurrent.track_states
         assert art.recurrent.max_history == served_causer.config.max_history
         assert art.supports_explain
+
+    def test_gated_factor_rows_match_item_matrix(self, served_causer):
+        """Gating ``cause_weights[a] @ Āᵀ`` gives row ``a`` of the gated Ŵ."""
+        art = build_artifacts(served_causer, generation=1)
+        matrix = served_causer.item_causal_matrix()
+        epsilon = served_causer.config.epsilon
+        expected = np.where(matrix > epsilon, matrix, 0.0)
+        for item in range(served_causer.num_items + 1):
+            row = art.cause_weights[item] @ art.assignments_t
+            gated = np.where(row > epsilon, row, 0.0)
+            np.testing.assert_allclose(gated, expected[item], rtol=0,
+                                       atol=1e-12)
+
+    def test_causer_artifacts_hold_no_item_by_item_array(self,
+                                                         served_causer):
+        """No (V+1)×(V+1) array anywhere in the bundle, model included."""
+        # Asking for Ŵ first must leave no copy of it on the model.
+        served_causer.item_causal_matrix()
+        art = build_artifacts(served_causer, generation=1)
+        arrays = []
+
+        class _Collect(pickle.Pickler):
+            def persistent_id(self, obj):
+                if isinstance(obj, np.ndarray):
+                    arrays.append(obj)
+                    return len(arrays)
+                return None
+
+        _Collect(io.BytesIO()).dump(art)
+        catalog = served_causer.num_items + 1
+        assert arrays
+        assert (catalog, catalog) not in [a.shape for a in arrays]
 
     def test_causer_input_table_matches_model(self, served_causer):
         """The frozen input table equals encode() + free item embeddings."""
@@ -77,31 +104,7 @@ class TestCheckpointRegistry:
         art = registry.load(path)
         assert art.path == str(path)
         assert art.model_class == "Causer"
-        np.testing.assert_allclose(art.item_matrix,
+        np.testing.assert_allclose(art.cause_weights @ art.assignments_t,
                                    served_causer.item_causal_matrix(),
                                    atol=1e-12)
 
-
-class TestItemMatrixCache:
-    def test_cache_hit_returns_same_object(self, served_causer):
-        first = served_causer.item_causal_matrix()
-        second = served_causer.item_causal_matrix()
-        assert first is second
-        assert not first.flags.writeable
-
-    def test_cache_invalidated_on_parameter_update(self, served_causer):
-        before = served_causer.item_causal_matrix()
-        weights = served_causer.graph.weights.data
-        original = weights.copy()
-        try:
-            weights[0, 1] += 0.25
-            after = served_causer.item_causal_matrix()
-            assert after is not before
-            assert not np.array_equal(after, before)
-        finally:
-            weights[...] = original
-
-    def test_cached_matrix_is_read_only(self, served_causer):
-        matrix = served_causer.item_causal_matrix()
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 1.0

@@ -16,7 +16,8 @@ import pytest
 from repro.cli import build_parser
 from repro.exp import BenchmarkSettings, build_model
 from repro.retrieval import RetrievalConfig, user_vector
-from repro.serve import score_view_candidates, score_views
+from repro.serve import (SessionStore, build_artifacts,
+                         score_view_candidates, score_views)
 from tests.serve.conftest import random_histories
 from tests.serve.test_equivalence import SERVABLE_NAMES, _feed
 
@@ -92,6 +93,17 @@ class TestIVFServe:
             restricted = score_view_candidates(artifacts, view, shortlist)
             full = np.asarray(score_views(artifacts, [view]))[0]
             assert np.array_equal(restricted, full[shortlist])
+
+
+def test_single_candidate_rerank_with_wide_basket(served_causer):
+    """One-column re-ranks stay bit-identical when a basket has >8 items."""
+    artifacts = build_artifacts(served_causer, generation=1)
+    history = [tuple(range(1, 13)), (3,), (20, 7)]
+    view = SessionStore().ephemeral_view(1, history, artifacts)
+    full = np.asarray(score_views(artifacts, [view]))[0]
+    for item in range(1, served_causer.num_items + 1):
+        single = score_view_candidates(artifacts, view, np.array([item]))
+        assert np.array_equal(single, full[[item]]), item
 
 
 def test_replay_model_falls_back_to_exact(tiny_dataset, make_app):

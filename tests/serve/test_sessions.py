@@ -68,18 +68,6 @@ class TestStepKernelParity:
         np.testing.assert_array_equal(served_h, fused_h.data)
         np.testing.assert_array_equal(served_c, fused_c.data)
 
-    def test_keep_false_freezes_state(self):
-        """The ε skip rule: keep=False carries the state through untouched."""
-        params = _params("gru")
-        h = np.random.default_rng(5).normal(size=(1, 5))
-        assert gru_step(np.ones((1, 4)), h, params.w_ih, params.w_hh,
-                        params.b_ih, params.b_hh, keep=False) is h
-        lstm = _params("lstm")
-        c = h.copy()
-        out_h, out_c = lstm_step(np.ones((1, 4)), h, c, lstm.w_ih,
-                                 lstm.w_hh, lstm.bias, keep=False)
-        assert out_h is h and out_c is c
-
 
 @pytest.mark.parametrize("cell_type", ["gru", "lstm"])
 class TestIncrementalReplayBitIdentity:

@@ -13,6 +13,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro.core import Causer, CauserConfig
 from repro.exp import ALL_MODEL_NAMES, BenchmarkSettings, build_model
 from repro.retrieval import RetrievalConfig
 from repro.serve import (SessionStore, build_artifacts, publish_artifacts,
@@ -127,3 +128,23 @@ def test_generations_survive(published, child_results):
     for name, (artifacts, job) in published.items():
         assert child_results[job["name"]]["generation"] \
             == artifacts.generation
+
+
+def test_causer_segment_smaller_than_item_by_item_matrix():
+    """eq. 9 ships as its factors: the pool stays below one (V+1)² array.
+
+    A 500-item catalog, so the per-item tables are small next to
+    (V+1)² float64 — the tiny fixtures' catalog is too small to tell.
+    """
+    num_items = 500
+    rng = np.random.default_rng(0)
+    model = Causer(num_users=20, num_items=num_items,
+                   raw_features=rng.standard_normal((num_items + 1, 16)),
+                   config=CauserConfig(embedding_dim=8, hidden_dim=8,
+                                       num_clusters=4, seed=0))
+    checkpoint = publish_artifacts(build_artifacts(model, generation=1))
+    try:
+        assert checkpoint.artifact_bytes < (num_items + 1) ** 2 * 8
+    finally:
+        checkpoint.unlink()
+        checkpoint.close()
